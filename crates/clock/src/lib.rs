@@ -1,7 +1,6 @@
 //! # mvtl-clock
 //!
-//! Clock sources for timestamp-based concurrency control, plus the timestamp
-//! service of §8.1.
+//! Clock sources for timestamp-based concurrency control.
 //!
 //! The paper's algorithms differ in what they assume about clocks:
 //!
@@ -22,24 +21,17 @@
 //!   ordered, so only the interval engines may use it;
 //! * [`SkewedClock`] — a per-process view of the global clock with a constant
 //!   offset per process (can violate monotonicity across processes, provoking
-//!   serial aborts);
-//! * [`EpsilonClock`] — a skewed clock whose offsets are bounded by ε;
+//!   serial aborts; offsets bounded by ε model an ε-synchronized clock);
 //! * [`ManualClock`] — scripted readings, used by the verifier to replay the
-//!   paper's schedules with pinned timestamps;
-//! * [`SystemClock`] — wall-clock microseconds, for the threaded benchmarks.
+//!   paper's schedules with pinned timestamps.
 //!
-//! [`TimestampService`] reproduces the purge broadcaster of §8.1: it
-//! periodically announces a time `T = now − K`; servers purge versions older
-//! than `T` and clients advance slow clocks to `T`.
+//! The purge broadcaster of §8.1's timestamp service lives in `mvtl-gc`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod service;
 mod sources;
 
-pub use service::TimestampService;
 pub use sources::{
-    BatchedClock, ClockSource, EpsilonClock, GlobalClock, ManualClock, SkewedClock, SystemClock,
-    MAX_CLOCK_BLOCK,
+    BatchedClock, ClockSource, GlobalClock, ManualClock, SkewedClock, MAX_CLOCK_BLOCK,
 };

@@ -5,7 +5,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A source of clock readings for transactions.
 ///
@@ -19,23 +18,11 @@ pub trait ClockSource: Send + Sync {
     fn timestamp(&self, process: ProcessId) -> Timestamp {
         Timestamp::new(self.now(process), process.0)
     }
-
-    /// Advances the clock of `process` to at least `to`, if the source supports
-    /// it. Used by the timestamp service: "clients advance their local clocks
-    /// to T if they are behind" (§8.1). The default implementation does
-    /// nothing.
-    fn advance_to(&self, process: ProcessId, to: u64) {
-        let _ = (process, to);
-    }
 }
 
 impl<C: ClockSource + ?Sized> ClockSource for Arc<C> {
     fn now(&self, process: ProcessId) -> u64 {
         (**self).now(process)
-    }
-
-    fn advance_to(&self, process: ProcessId, to: u64) {
-        (**self).advance_to(process, to);
     }
 }
 
@@ -77,10 +64,6 @@ impl ClockSource for GlobalClock {
     fn now(&self, _process: ProcessId) -> u64 {
         self.counter.fetch_add(1, Ordering::SeqCst)
     }
-
-    fn advance_to(&self, _process: ProcessId, to: u64) {
-        self.counter.fetch_max(to, Ordering::SeqCst);
-    }
 }
 
 /// How many per-process slots a [`BatchedClock`] keeps. Processes hash into
@@ -99,9 +82,8 @@ pub const MAX_CLOCK_BLOCK: u64 = (1 << 16) - 1;
 /// Each process's state packs `(next << 16) | remaining` into one `AtomicU64`
 /// slot; drawing a timestamp is a CAS on that slot, and only an empty slot
 /// touches the shared counter (`fetch_add(block)`). The counter is always at
-/// or beyond the end of every block ever handed out, so refills — including
-/// the forced refill after [`BatchedClock::advance_to`] — keep each process's
-/// readings strictly increasing.
+/// or beyond the end of every block ever handed out, so refills keep each
+/// process's readings strictly increasing.
 ///
 /// **This clock is not globally monotonic**: process A can read a value from
 /// an older block after process B read a newer one. That is exactly the
@@ -189,14 +171,6 @@ impl ClockSource for BatchedClock {
             }
         }
     }
-
-    fn advance_to(&self, process: ProcessId, to: u64) {
-        // Raise the shared allocator first, then drop the process's cached
-        // block: its next reading refills at a base ≥ `to`, and every other
-        // slot keeps monotonicity because the allocator only moved forward.
-        self.counter.fetch_max(to, Ordering::SeqCst);
-        self.slot(process).store(0, Ordering::SeqCst);
-    }
 }
 
 /// A per-process view of an underlying clock with a constant signed offset per
@@ -209,7 +183,6 @@ impl ClockSource for BatchedClock {
 pub struct SkewedClock<C> {
     inner: C,
     offsets: HashMap<u32, i64>,
-    advances: Mutex<HashMap<u32, u64>>,
 }
 
 impl<C: ClockSource> SkewedClock<C> {
@@ -217,11 +190,7 @@ impl<C: ClockSource> SkewedClock<C> {
     /// without an entry read the inner clock unmodified.
     #[must_use]
     pub fn new(inner: C, offsets: HashMap<u32, i64>) -> Self {
-        SkewedClock {
-            inner,
-            offsets,
-            advances: Mutex::named("clock.advances", 74, HashMap::new()),
-        }
+        SkewedClock { inner, offsets }
     }
 
     /// The skew applied to `process`.
@@ -235,66 +204,11 @@ impl<C: ClockSource> ClockSource for SkewedClock<C> {
     fn now(&self, process: ProcessId) -> u64 {
         let base = self.inner.now(process);
         let offset = self.offset(process);
-        let skewed = if offset >= 0 {
+        if offset >= 0 {
             base.saturating_add(offset as u64)
         } else {
             base.saturating_sub(offset.unsigned_abs())
-        };
-        let advances = self.advances.lock();
-        let floor = advances.get(&process.0).copied().unwrap_or(0);
-        skewed.max(floor)
-    }
-
-    fn advance_to(&self, process: ProcessId, to: u64) {
-        let mut advances = self.advances.lock();
-        let entry = advances.entry(process.0).or_insert(0);
-        *entry = (*entry).max(to);
-    }
-}
-
-/// An ε-synchronized clock: a skewed clock whose per-process offsets are
-/// bounded by ε in absolute value (§2, §5.3).
-pub struct EpsilonClock<C> {
-    inner: SkewedClock<C>,
-    epsilon: u64,
-}
-
-impl<C: ClockSource> EpsilonClock<C> {
-    /// Wraps `inner` with the given per-process offsets, all of which must be
-    /// within `[-epsilon, +epsilon]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any offset exceeds ε in absolute value — that would violate
-    /// the algorithm's assumption and silently produce wrong conclusions.
-    #[must_use]
-    pub fn new(inner: C, epsilon: u64, offsets: HashMap<u32, i64>) -> Self {
-        for (p, off) in &offsets {
-            assert!(
-                off.unsigned_abs() <= epsilon,
-                "offset {off} of process {p} exceeds epsilon {epsilon}"
-            );
         }
-        EpsilonClock {
-            inner: SkewedClock::new(inner, offsets),
-            epsilon,
-        }
-    }
-
-    /// The synchronization bound ε.
-    #[must_use]
-    pub fn epsilon(&self) -> u64 {
-        self.epsilon
-    }
-}
-
-impl<C: ClockSource> ClockSource for EpsilonClock<C> {
-    fn now(&self, process: ProcessId) -> u64 {
-        self.inner.now(process)
-    }
-
-    fn advance_to(&self, process: ProcessId, to: u64) {
-        self.inner.advance_to(process, to);
     }
 }
 
@@ -340,36 +254,6 @@ impl ClockSource for ManualClock {
     }
 }
 
-/// Wall-clock microseconds since the clock was created. Used by the threaded
-/// benchmarks where real elapsed time matters.
-#[derive(Debug)]
-pub struct SystemClock {
-    origin: Instant,
-}
-
-impl Default for SystemClock {
-    fn default() -> Self {
-        SystemClock::new()
-    }
-}
-
-impl SystemClock {
-    /// Creates a wall-clock source anchored at "now".
-    #[must_use]
-    pub fn new() -> Self {
-        SystemClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl ClockSource for SystemClock {
-    fn now(&self, _process: ProcessId) -> u64 {
-        // +1 so that no transaction ever observes the reserved value 0.
-        self.origin.elapsed().as_micros() as u64 + 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,13 +268,6 @@ mod tests {
         let b = clock.now(P1);
         let c = clock.now(P0);
         assert!(a < b && b < c);
-    }
-
-    #[test]
-    fn global_clock_advance() {
-        let clock = GlobalClock::new();
-        clock.advance_to(P0, 1000);
-        assert!(clock.now(P0) >= 1000);
     }
 
     #[test]
@@ -421,23 +298,6 @@ mod tests {
                 assert!(seen.insert(v), "duplicate reading {v} at round {i}");
             }
         }
-    }
-
-    #[test]
-    fn batched_clock_advance_forces_a_fresh_block() {
-        let clock = BatchedClock::starting_at(1, 16);
-        let before = clock.now(P0);
-        clock.advance_to(P0, 1_000);
-        let after = clock.now(P0);
-        assert!(
-            after >= 1_000,
-            "post-advance reading {after} must be >= 1000"
-        );
-        assert!(after > before);
-        // Other processes refill from the raised allocator too, but readings
-        // from blocks they already hold stay valid (and unique).
-        let other = clock.now(P1);
-        assert!(other != after);
     }
 
     #[test]
@@ -482,35 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn skewed_clock_advance_sets_floor() {
-        let mut offsets = HashMap::new();
-        offsets.insert(1u32, -100i64);
-        let clock = SkewedClock::new(GlobalClock::starting_at(10), offsets);
-        clock.advance_to(P1, 500);
-        assert!(clock.now(P1) >= 500);
-        // Other processes are unaffected.
-        assert!(clock.now(P0) < 500);
-    }
-
-    #[test]
-    fn epsilon_clock_enforces_bound() {
-        let mut offsets = HashMap::new();
-        offsets.insert(0u32, 3i64);
-        offsets.insert(1u32, -4i64);
-        let clock = EpsilonClock::new(GlobalClock::new(), 5, offsets);
-        assert_eq!(clock.epsilon(), 5);
-        let _ = clock.now(P0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds epsilon")]
-    fn epsilon_clock_rejects_large_offsets() {
-        let mut offsets = HashMap::new();
-        offsets.insert(0u32, 10i64);
-        let _ = EpsilonClock::new(GlobalClock::new(), 5, offsets);
-    }
-
-    #[test]
     fn manual_clock_returns_script_then_repeats() {
         let clock = ManualClock::new();
         clock.script(P0, vec![5, 9]);
@@ -524,19 +355,9 @@ mod tests {
     }
 
     #[test]
-    fn system_clock_is_nondecreasing() {
-        let clock = SystemClock::new();
-        let a = clock.now(P0);
-        let b = clock.now(P0);
-        assert!(b >= a);
-        assert!(a >= 1);
-    }
-
-    #[test]
     fn arc_forwarding() {
         let clock: Arc<GlobalClock> = Arc::new(GlobalClock::new());
         let a = clock.now(P0);
-        clock.advance_to(P0, a + 100);
-        assert!(ClockSource::now(&clock, P0) >= a + 100);
+        assert!(ClockSource::now(&clock, P0) > a);
     }
 }

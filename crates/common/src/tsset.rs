@@ -294,49 +294,6 @@ impl TsSet {
         }
         out
     }
-
-    /// Iterates over the individual timestamps of the set.
-    ///
-    /// Only useful in tests for small sets; production code always works on
-    /// ranges.
-    pub fn iter_points(&self) -> impl Iterator<Item = Timestamp> + '_ {
-        self.ranges().iter().flat_map(|r| PointIter {
-            next: Some(r.start),
-            end: r.end,
-        })
-    }
-
-    /// Number of points in the set, saturating; only meaningful for sets whose
-    /// ranges are narrow (statistics and tests).
-    #[must_use]
-    pub fn approx_len(&self) -> u64 {
-        self.ranges()
-            .iter()
-            .map(|r| r.approx_width().unwrap_or(u64::MAX).saturating_add(1))
-            .fold(0u64, u64::saturating_add)
-    }
-}
-
-struct PointIter {
-    next: Option<Timestamp>,
-    end: Timestamp,
-}
-
-impl Iterator for PointIter {
-    type Item = Timestamp;
-
-    fn next(&mut self) -> Option<Timestamp> {
-        let cur = self.next?;
-        if cur > self.end {
-            return None;
-        }
-        self.next = if cur == self.end {
-            None
-        } else {
-            Some(cur.succ())
-        };
-        Some(cur)
-    }
 }
 
 impl fmt::Debug for TsSet {
@@ -470,17 +427,14 @@ mod tests {
 
     #[test]
     fn min_max_and_iteration() {
-        // Keep the ranges narrow (same clock value) so point iteration stays small.
         let s = TsSet::from_ranges([
-            TsRange::new(Timestamp::new(2, 0), Timestamp::new(2, 3)),
             TsRange::new(Timestamp::new(7, 1), Timestamp::new(7, 1)),
+            TsRange::new(Timestamp::new(2, 0), Timestamp::new(2, 3)),
         ]);
         assert_eq!(s.min(), Some(Timestamp::new(2, 0)));
         assert_eq!(s.max(), Some(Timestamp::new(7, 1)));
-        let pts: Vec<Timestamp> = s.iter_points().collect();
-        assert_eq!(pts.len(), 5);
-        assert_eq!(pts[0], Timestamp::new(2, 0));
-        assert_eq!(pts[4], Timestamp::new(7, 1));
+        let starts: Vec<Timestamp> = s.ranges().iter().map(|r| r.start).collect();
+        assert_eq!(starts, [Timestamp::new(2, 0), Timestamp::new(7, 1)]);
     }
 
     #[test]

@@ -49,6 +49,10 @@ impl<V> PreparedCommit<V> {
     }
 }
 
+/// Number of stripes in the key → cell map. More stripes reduce contention
+/// on the map itself (the per-key latch is separate).
+const STRIPES: usize = 64;
+
 /// The generic MVTL storage engine, parameterized by a [`LockingPolicy`].
 ///
 /// `V` is the value type stored in versions. The engine is safe to share across
@@ -79,7 +83,7 @@ where
     /// Creates a store with the given policy, clock source and configuration.
     #[must_use]
     pub fn new(policy: P, clock: Arc<dyn ClockSource>, config: MvtlConfig) -> Self {
-        let cells = StripedTable::build(config.shards.max(1), |stripe| {
+        let cells = StripedTable::build(STRIPES, |stripe| {
             Mutex::named("core.store.stripe", 60, stripe)
         });
         MvtlStore {

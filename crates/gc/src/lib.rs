@@ -101,20 +101,6 @@ impl Default for GcConfig {
 }
 
 impl GcConfig {
-    /// The service configuration an [`MvtlConfig`](mvtl_core::MvtlConfig)
-    /// asks for, when it asks for one: `None` when `gc_interval` is unset
-    /// (no background GC), otherwise the store's interval and lag. This is
-    /// how the store-level knobs become the single source of truth for the
-    /// service — the registry derives the spawned service's configuration
-    /// from the store config it built.
-    #[must_use]
-    pub fn from_store_config(config: &mvtl_core::MvtlConfig) -> Option<GcConfig> {
-        config.gc_interval.map(|interval| GcConfig {
-            interval,
-            lag: config.gc_lag,
-        })
-    }
-
     /// Returns a configuration with the given sweep interval.
     #[must_use]
     pub fn with_interval(mut self, interval: Duration) -> Self {
@@ -596,21 +582,6 @@ mod tests {
         // must not degrade batches into per-key loops.
         assert_eq!(probe.write_many_calls.load(Ordering::Relaxed), 1);
         assert_eq!(probe.read_many_calls.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn service_config_derives_from_the_store_config() {
-        assert_eq!(GcConfig::from_store_config(&MvtlConfig::default()), None);
-        let config = MvtlConfig::default()
-            .with_gc_interval(Some(Duration::from_millis(25)))
-            .with_gc_lag(Duration::from_millis(7));
-        assert_eq!(
-            GcConfig::from_store_config(&config),
-            Some(GcConfig {
-                interval: Duration::from_millis(25),
-                lag: Duration::from_millis(7),
-            })
-        );
     }
 
     #[test]

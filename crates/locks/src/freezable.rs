@@ -1,264 +1,108 @@
-//! The single-object freezable readers-writer lock of §4.2.
+//! The single-object freezable readers-writer lock of §4.2, checked on one
+//! timestamp of a [`crate::KeyLockState`].
 //!
-//! This type exists mainly for exposition and for unit-testing the conflict
-//! rules in isolation: the engines use the interval-compressed
-//! [`crate::KeyLockState`] instead, which amounts to one `FreezableLock` per
-//! timestamp without materializing them.
-
-use mvtl_common::{LockMode, TxId};
-use std::collections::BTreeSet;
-use std::error::Error;
-use std::fmt;
-
-/// Errors returned by [`FreezableLock`] operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FreezableLockError {
-    /// The lock is held in a conflicting mode by another transaction.
-    Conflict {
-        /// Whether the conflicting holder froze its lock (so waiting is futile).
-        frozen: bool,
-    },
-    /// The caller does not hold the lock in the requested mode.
-    NotHeld,
-    /// The lock is frozen and can no longer be released or re-acquired.
-    Frozen,
-}
-
-impl fmt::Display for FreezableLockError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FreezableLockError::Conflict { frozen: true } => {
-                write!(f, "conflicting lock is frozen")
-            }
-            FreezableLockError::Conflict { frozen: false } => {
-                write!(f, "conflicting lock held by another transaction")
-            }
-            FreezableLockError::NotHeld => write!(f, "lock not held by this transaction"),
-            FreezableLockError::Frozen => write!(f, "lock is frozen"),
-        }
-    }
-}
-
-impl Error for FreezableLockError {}
-
-/// A freezable readers-writer lock for a single write-once object.
-///
-/// Semantics (§4.2):
-///
-/// * many transactions may hold the lock in read mode;
-/// * at most one transaction may hold it in write mode, excluding all readers
-///   from other transactions;
-/// * a holder may *freeze* its lock, promising never to release it. A frozen
-///   write lock seals the object as written; frozen read locks seal the fact
-///   that the readers observed the previous state.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FreezableLock {
-    readers: BTreeSet<TxId>,
-    frozen_readers: BTreeSet<TxId>,
-    writer: Option<TxId>,
-    writer_frozen: bool,
-}
-
-impl FreezableLock {
-    /// Creates an unlocked freezable lock.
-    #[must_use]
-    pub fn new() -> Self {
-        FreezableLock::default()
-    }
-
-    /// Attempts to acquire the lock for `tx` in `mode`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FreezableLockError::Conflict`] when another transaction holds
-    /// the lock in a conflicting mode; the `frozen` flag reports whether that
-    /// conflicting hold is frozen (so the caller should not wait).
-    pub fn try_acquire(&mut self, tx: TxId, mode: LockMode) -> Result<(), FreezableLockError> {
-        match mode {
-            LockMode::Read => {
-                if let Some(w) = self.writer {
-                    if w != tx {
-                        return Err(FreezableLockError::Conflict {
-                            frozen: self.writer_frozen,
-                        });
-                    }
-                }
-                self.readers.insert(tx);
-                Ok(())
-            }
-            LockMode::Write => {
-                if let Some(w) = self.writer {
-                    if w != tx {
-                        return Err(FreezableLockError::Conflict {
-                            frozen: self.writer_frozen,
-                        });
-                    }
-                    return Ok(());
-                }
-                let other_reader_frozen = self.frozen_readers.iter().any(|r| *r != tx);
-                let other_reader = self.readers.iter().any(|r| *r != tx);
-                if other_reader || other_reader_frozen {
-                    return Err(FreezableLockError::Conflict {
-                        frozen: other_reader_frozen,
-                    });
-                }
-                self.writer = Some(tx);
-                Ok(())
-            }
-        }
-    }
-
-    /// Freezes the lock held by `tx` in `mode`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FreezableLockError::NotHeld`] when `tx` does not hold the
-    /// lock in that mode.
-    pub fn freeze(&mut self, tx: TxId, mode: LockMode) -> Result<(), FreezableLockError> {
-        match mode {
-            LockMode::Read => {
-                if self.readers.remove(&tx) || self.frozen_readers.contains(&tx) {
-                    self.frozen_readers.insert(tx);
-                    Ok(())
-                } else {
-                    Err(FreezableLockError::NotHeld)
-                }
-            }
-            LockMode::Write => {
-                if self.writer == Some(tx) {
-                    self.writer_frozen = true;
-                    Ok(())
-                } else {
-                    Err(FreezableLockError::NotHeld)
-                }
-            }
-        }
-    }
-
-    /// Releases every unfrozen hold of `tx` (both modes); frozen holds stay.
-    pub fn release_unfrozen(&mut self, tx: TxId) {
-        self.readers.remove(&tx);
-        if self.writer == Some(tx) && !self.writer_frozen {
-            self.writer = None;
-        }
-    }
-
-    /// Whether `tx` currently holds the lock in `mode` (frozen or not).
-    #[must_use]
-    pub fn holds(&self, tx: TxId, mode: LockMode) -> bool {
-        match mode {
-            LockMode::Read => self.readers.contains(&tx) || self.frozen_readers.contains(&tx),
-            LockMode::Write => self.writer == Some(tx),
-        }
-    }
-
-    /// Whether the write lock is frozen (the object's fate is sealed).
-    #[must_use]
-    pub fn write_frozen(&self) -> bool {
-        self.writer_frozen
-    }
-
-    /// Whether nobody holds the lock.
-    #[must_use]
-    pub fn is_unlocked(&self) -> bool {
-        self.readers.is_empty() && self.frozen_readers.is_empty() && self.writer.is_none()
-    }
-}
+//! The lock table is one such lock per timestamp with equal neighbours
+//! merged, so restricted to a single point it must behave exactly like the
+//! paper's lock: readers share, a writer excludes everyone else, and a frozen
+//! hold is never released and is reported as frozen to contenders.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::KeyLockState;
+    use mvtl_common::{LockMode, Timestamp, TsRange, TxId};
 
     const T1: TxId = TxId(1);
     const T2: TxId = TxId(2);
     const T3: TxId = TxId(3);
 
+    /// The one timestamp every test locks.
+    fn point() -> TsRange {
+        TsRange::point(Timestamp::at(5))
+    }
+
+    /// Acquires the point lock whole or not at all; a refusal reports
+    /// whether the conflicting hold is frozen.
+    fn try_acquire(l: &mut KeyLockState, tx: TxId, mode: LockMode) -> Result<(), bool> {
+        let analysis = l.analyze(tx, mode, point());
+        if !analysis.fully_grantable() {
+            return Err(analysis.hit_frozen());
+        }
+        l.acquire(tx, mode, &analysis.grantable);
+        Ok(())
+    }
+
+    fn holds(l: &KeyLockState, tx: TxId, mode: LockMode) -> bool {
+        l.held(tx, mode).contains(Timestamp::at(5))
+    }
+
     #[test]
     fn readers_share() {
-        let mut l = FreezableLock::new();
-        l.try_acquire(T1, LockMode::Read).unwrap();
-        l.try_acquire(T2, LockMode::Read).unwrap();
-        assert!(l.holds(T1, LockMode::Read));
-        assert!(l.holds(T2, LockMode::Read));
+        let mut l = KeyLockState::new();
+        try_acquire(&mut l, T1, LockMode::Read).unwrap();
+        try_acquire(&mut l, T2, LockMode::Read).unwrap();
+        assert!(holds(&l, T1, LockMode::Read));
+        assert!(holds(&l, T2, LockMode::Read));
     }
 
     #[test]
     fn writer_excludes_others() {
-        let mut l = FreezableLock::new();
-        l.try_acquire(T1, LockMode::Write).unwrap();
-        assert_eq!(
-            l.try_acquire(T2, LockMode::Read),
-            Err(FreezableLockError::Conflict { frozen: false })
-        );
-        assert_eq!(
-            l.try_acquire(T2, LockMode::Write),
-            Err(FreezableLockError::Conflict { frozen: false })
-        );
+        let mut l = KeyLockState::new();
+        try_acquire(&mut l, T1, LockMode::Write).unwrap();
+        assert_eq!(try_acquire(&mut l, T2, LockMode::Read), Err(false));
+        assert_eq!(try_acquire(&mut l, T2, LockMode::Write), Err(false));
         // Re-entrant for the same owner.
-        l.try_acquire(T1, LockMode::Write).unwrap();
-        l.try_acquire(T1, LockMode::Read).unwrap();
+        try_acquire(&mut l, T1, LockMode::Write).unwrap();
+        try_acquire(&mut l, T1, LockMode::Read).unwrap();
     }
 
     #[test]
     fn readers_block_writer() {
-        let mut l = FreezableLock::new();
-        l.try_acquire(T1, LockMode::Read).unwrap();
-        assert_eq!(
-            l.try_acquire(T2, LockMode::Write),
-            Err(FreezableLockError::Conflict { frozen: false })
-        );
+        let mut l = KeyLockState::new();
+        try_acquire(&mut l, T1, LockMode::Read).unwrap();
+        assert_eq!(try_acquire(&mut l, T2, LockMode::Write), Err(false));
         // Upgrade by the sole reader is allowed.
-        l.try_acquire(T1, LockMode::Write).unwrap();
+        try_acquire(&mut l, T1, LockMode::Write).unwrap();
     }
 
     #[test]
     fn freeze_reports_to_contenders() {
-        let mut l = FreezableLock::new();
-        l.try_acquire(T1, LockMode::Write).unwrap();
-        l.freeze(T1, LockMode::Write).unwrap();
-        assert_eq!(
-            l.try_acquire(T2, LockMode::Write),
-            Err(FreezableLockError::Conflict { frozen: true })
-        );
+        let mut l = KeyLockState::new();
+        try_acquire(&mut l, T1, LockMode::Write).unwrap();
+        l.freeze(T1, LockMode::Write, point());
+        assert_eq!(try_acquire(&mut l, T2, LockMode::Write), Err(true));
         // Releasing does not undo a freeze.
         l.release_unfrozen(T1);
-        assert!(l.write_frozen());
-        assert!(l.holds(T1, LockMode::Write));
+        assert_eq!(l.stats().frozen_entries, 1);
+        assert!(holds(&l, T1, LockMode::Write));
     }
 
     #[test]
     fn frozen_read_locks_survive_release() {
-        let mut l = FreezableLock::new();
-        l.try_acquire(T1, LockMode::Read).unwrap();
-        l.try_acquire(T2, LockMode::Read).unwrap();
-        l.freeze(T1, LockMode::Read).unwrap();
+        let mut l = KeyLockState::new();
+        try_acquire(&mut l, T1, LockMode::Read).unwrap();
+        try_acquire(&mut l, T2, LockMode::Read).unwrap();
+        l.freeze(T1, LockMode::Read, point());
         l.release_unfrozen(T1);
         l.release_unfrozen(T2);
         // T1's frozen read lock still blocks writers, and reports frozen.
-        assert_eq!(
-            l.try_acquire(T3, LockMode::Write),
-            Err(FreezableLockError::Conflict { frozen: true })
-        );
-        assert!(!l.is_unlocked());
+        assert_eq!(try_acquire(&mut l, T3, LockMode::Write), Err(true));
+        assert!(!l.is_empty());
     }
 
     #[test]
     fn freeze_requires_holding() {
-        let mut l = FreezableLock::new();
-        assert_eq!(
-            l.freeze(T1, LockMode::Write),
-            Err(FreezableLockError::NotHeld)
-        );
-        assert_eq!(
-            l.freeze(T1, LockMode::Read),
-            Err(FreezableLockError::NotHeld)
-        );
+        // Freezing a hold one does not have freezes nothing.
+        let mut l = KeyLockState::new();
+        l.freeze(T1, LockMode::Write, point());
+        l.freeze(T1, LockMode::Read, point());
+        assert!(l.is_empty());
+        try_acquire(&mut l, T2, LockMode::Write).unwrap();
     }
 
     #[test]
     fn release_of_unheld_lock_is_noop() {
-        let mut l = FreezableLock::new();
+        let mut l = KeyLockState::new();
         l.release_unfrozen(T1);
-        assert!(l.is_unlocked());
+        assert!(l.is_empty());
     }
 }

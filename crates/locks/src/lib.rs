@@ -11,14 +11,11 @@
 //! intervals, because every algorithm in the paper only ever acquires locks on
 //! a few points or intervals.
 //!
-//! This crate provides both views:
-//!
-//! * [`FreezableLock`] — the textbook single-object freezable readers-writer
-//!   lock of §4.2, useful for understanding and for small tests.
-//! * [`KeyLockState`] — the production representation: the complete lock state
-//!   of one key stored as a list of `(owner, mode, interval, frozen)` entries.
-//!   This is the "interval compression" of §6. All MVTL engines and the
-//!   distributed simulation build on it.
+//! [`KeyLockState`] is that compressed representation: the complete lock
+//! state of one key stored as a list of `(owner, mode, interval, frozen)`
+//! entries, i.e. one §4.2 freezable lock per timestamp, with runs of equal
+//! locks merged into intervals. All MVTL engines and the distributed
+//! simulation build on it.
 //!
 //! `KeyLockState` is a plain data structure with no internal synchronization;
 //! callers (the engines) wrap it in a per-key latch, exactly like the paper's
@@ -56,5 +53,4 @@ mod table;
 
 pub use analysis::AcquireAnalysis;
 pub use entry::LockEntry;
-pub use freezable::{FreezableLock, FreezableLockError};
 pub use table::{KeyLockState, LockStateStats};

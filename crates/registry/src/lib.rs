@@ -340,7 +340,8 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// Builds the engine described by `spec` for an arbitrary value type.
 ///
 /// Shared parameters for every engine: `clock_start` (initial reading of the
-/// global clock, default 0), `clock` (`global` | `batched`, default `global`;
+/// global clock, default 1; 0 is rejected because it is the timestamp of the
+/// initial ⊥ version), `clock` (`global` | `batched`, default `global`;
 /// `batched` hands each process blocks of timestamps drawn from a shared
 /// allocator and is accepted only for the MVTIL engines, the one policy
 /// family that assumes nothing about clock order)
@@ -352,12 +353,11 @@ pub fn build(spec: &str) -> Result<Box<dyn Engine<u64>>, SpecError> {
 /// `gc_ms`). With `gc_ms` set the returned engine is wrapped in a
 /// [`mvtl_gc::GcEngine`] whose background service purges the engine below
 /// `min(low watermark, now − gc_lag)` every `gc_ms` — for the `sharded`
-/// engine one service sweeps all shards. Shared parameters for all MVTL-core
-/// engines: `timeout_ms` (lock-wait timeout, default 100) and `shards`
-/// (key-map shard count, default 64). Engine-specific parameters: `delta`
-/// (MVTIL, ticks), `eps` (`mvtl-epsilon-clock`, ticks), `offset`
-/// (`mvtl-pref`, comma-separated signed tick offsets), `timeout_ms` (2PL,
-/// milliseconds).
+/// engine one service sweeps all shards. Shared parameter for all MVTL-core
+/// engines: `timeout_ms` (lock-wait timeout, default 100). Engine-specific
+/// parameters: `delta` (MVTIL, ticks), `eps` (`mvtl-epsilon-clock`, ticks),
+/// `offset` (`mvtl-pref`, comma-separated signed tick offsets), `timeout_ms`
+/// (2PL, milliseconds).
 ///
 /// Durability, for every engine: `wal=<dir>` attaches a `mvtl-wal`
 /// write-ahead log in `<dir>` (`wal=tmp` for a fresh temporary directory
@@ -383,6 +383,12 @@ where
 {
     let mut parsed = EngineSpec::parse(spec)?;
     let clock_start = parsed.take_parsed::<u64>("clock_start")?;
+    if clock_start == Some(0) {
+        return Err(SpecError::InvalidValue {
+            param: "clock_start".to_string(),
+            value: "0".to_string(),
+        });
+    }
     let wal_config = take_wal_config(&mut parsed)?;
     // The log opens before the clock exists: recovery reports the largest
     // committed timestamp, and the clock must start past it so post-crash
@@ -703,10 +709,8 @@ where
 }
 
 /// Builds an `MvtlStore` around `policy`, consuming the shared MVTL
-/// parameters (`timeout_ms`, `shards`) from the spec. The GC knobs are
-/// recorded in the store's [`MvtlConfig`] so embedders that reach through to
-/// the store see the requested maintenance policy; the service itself is
-/// attached by [`build_for`].
+/// parameter `timeout_ms` from the spec, and attaches the spec's log and GC
+/// service.
 fn mvtl_engine<V, P>(
     policy: P,
     clock: Arc<dyn mvtl_clock::ClockSource>,
@@ -722,19 +726,8 @@ where
     if let Some(timeout_ms) = parsed.take_parsed::<u64>("timeout_ms")? {
         config = config.with_lock_wait_timeout(Duration::from_millis(timeout_ms));
     }
-    if let Some(shards) = parsed.take_parsed::<usize>("shards")? {
-        config = config.with_shards(shards);
-    }
-    if let Some(gc) = gc {
-        config = config
-            .with_gc_interval(Some(gc.interval))
-            .with_gc_lag(gc.lag);
-    }
-    // The store config is the source of truth for the service from here on:
-    // the spawned sweeper's configuration is read back out of it.
-    let service = GcConfig::from_store_config(&config);
     let store = MvtlStore::<V, P>::new(policy, Arc::clone(&clock), config);
-    wal_then_gc(store, clock, service, wal)
+    wal_then_gc(store, clock, gc, wal)
 }
 
 /// Builds the partitioned `sharded` engine: `shards` hash partitions, each an
@@ -744,14 +737,14 @@ where
 /// Parameters consumed here: `shards` (partition count, default
 /// [`DEFAULT_SHARD_COUNT`]), `inner` (partition policy, default
 /// [`DEFAULT_SHARD_INNER`]; any MVTL-core engine name — the baselines cannot
-/// freeze intervals and are rejected), `pick` (`min` | `max`, which end of
-/// the interval intersection a cross-shard commit uses; defaults to the
-/// inner engine's own bias: `max` for `mvtil-late`, `min` otherwise),
-/// `map_shards` (each partition's key→cell map shard count), plus the inner
-/// engine's own parameters (`delta`, `eps`, `offset`, `timeout_ms`). With
-/// `gc_ms` set (consumed by [`build_for`]), the single service attached to
-/// the returned engine sweeps *all* shards through
-/// [`ShardedStore::purge_below`] under the store's aggregated low watermark.
+/// freeze intervals and are rejected), plus the inner engine's own
+/// parameters (`delta`, `eps`, `offset`, `timeout_ms`). With `gc_ms` set
+/// (consumed by [`build_for`]), the single service attached to the returned
+/// engine sweeps *all* shards through [`ShardedStore::purge_below`] under the
+/// store's aggregated low watermark.
+/// A cross-shard commit takes the end of the interval intersection that
+/// matches the inner engine's own bias: the maximum for `mvtil-late`, the
+/// minimum otherwise.
 ///
 /// Fault injection: `fault` (a `mvtl-faults` schedule string such as
 /// `delay:0.4:200|crash:0.1`; every shard backend is wrapped in a
@@ -777,22 +770,10 @@ where
     let inner = parsed
         .take("inner")
         .unwrap_or_else(|| DEFAULT_SHARD_INNER.to_string());
-    let pick = match parsed.take("pick").as_deref() {
-        None => {
-            if inner == "mvtil-late" {
-                IntersectionPick::Max
-            } else {
-                IntersectionPick::Min
-            }
-        }
-        Some("min") => IntersectionPick::Min,
-        Some("max") => IntersectionPick::Max,
-        Some(other) => {
-            return Err(SpecError::InvalidValue {
-                param: "pick".to_string(),
-                value: other.to_string(),
-            })
-        }
+    let pick = if inner == "mvtil-late" {
+        IntersectionPick::Max
+    } else {
+        IntersectionPick::Min
     };
     let fault = parsed.take("fault");
     let fault_seed = parsed.take_parsed::<u64>("fault_seed")?;
@@ -825,15 +806,6 @@ where
     if let Some(timeout_ms) = parsed.take_parsed::<u64>("timeout_ms")? {
         config = config.with_lock_wait_timeout(Duration::from_millis(timeout_ms));
     }
-    if let Some(map_shards) = parsed.take_parsed::<usize>("map_shards")? {
-        config = config.with_shards(map_shards);
-    }
-    if let Some(gc) = gc {
-        config = config
-            .with_gc_interval(Some(gc.interval))
-            .with_gc_lag(gc.lag);
-    }
-    let service = GcConfig::from_store_config(&config);
     let backend = |policy_for: &dyn Fn() -> Arc<dyn ShardBackend<V>>| {
         (0..count).map(|_| policy_for()).collect::<Vec<_>>()
     };
@@ -932,7 +904,7 @@ where
     if let Some(ms) = timeout_ms {
         store = store.with_commit_timeout(Duration::from_millis(ms));
     }
-    Ok(maybe_gc(store, clock, service))
+    Ok(maybe_gc(store, clock, gc))
 }
 
 fn parse_offsets(list: &str) -> Result<Vec<i64>, SpecError> {
@@ -992,7 +964,7 @@ mod tests {
     #[test]
     fn split_prefixed_peels_front_end_params_off_the_engine_spec() {
         let (serve, engine) = EngineSpec::split_prefixed(
-            "sharded?shards=4&serve_max_txns=64&inner=mvtl-to&serve_nodelay=0",
+            "sharded?shards=4&serve_max_txns=64&inner=mvtl-to&serve_max_frame=512",
             "serve_",
         )
         .unwrap();
@@ -1000,7 +972,7 @@ mod tests {
             serve,
             vec![
                 ("max_txns".to_string(), "64".to_string()),
-                ("nodelay".to_string(), "0".to_string())
+                ("max_frame".to_string(), "512".to_string())
             ]
         );
         assert_eq!(engine, "sharded?shards=4&inner=mvtl-to");
@@ -1080,9 +1052,9 @@ mod tests {
             let engine = build(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert_eq!(engine.name(), "sharded", "{spec}");
         }
-        // Defaults and the pick/map_shards knobs parse.
+        // Defaults and the inner engine's own parameters parse.
         assert!(build("sharded").is_ok());
-        assert!(build("sharded?shards=2&inner=mvtil-late&delta=500&pick=max&map_shards=4").is_ok());
+        assert!(build("sharded?shards=2&inner=mvtil-late&delta=500").is_ok());
         assert!(build_for::<String>("sharded?shards=2").is_ok());
     }
 
@@ -1331,12 +1303,46 @@ mod tests {
             Err(SpecError::InvalidValue { .. })
         ));
         assert!(matches!(
-            build("sharded?pick=median").map(|_| ()),
-            Err(SpecError::InvalidValue { .. })
-        ));
-        assert!(matches!(
             build("sharded?shards=8&frobnicate=1").map(|_| ()),
             Err(SpecError::UnknownParam { .. })
         ));
+    }
+
+    #[test]
+    fn removed_tuning_parameters_are_unknown() {
+        // The intersection end follows `inner`, the key-map stripe count is a
+        // constant and the server always sets TCP_NODELAY, so none of these
+        // is a parameter.
+        for spec in [
+            "sharded?pick=max",
+            "sharded?inner=mvtil-late&pick=min",
+            "sharded?map_shards=4",
+            "mvtil-early?shards=8",
+            "mvtl-to?shards=8",
+            "mvtil-early?serve_nodelay=0",
+        ] {
+            assert!(
+                matches!(build(spec).map(|_| ()), Err(SpecError::UnknownParam { .. })),
+                "{spec} must be rejected as an unknown parameter"
+            );
+        }
+    }
+
+    #[test]
+    fn clock_start_zero_is_rejected() {
+        // Timestamp 0 belongs to the initial ⊥ version: a clock starting
+        // there would commit a real write on top of it.
+        for name in ["mvto+", "mvtl-to", "mvtil-early", "sharded"] {
+            let spec = format!("{name}?clock_start=0");
+            assert!(
+                matches!(
+                    build(&spec).map(|_| ()),
+                    Err(SpecError::InvalidValue { ref param, .. }) if param == "clock_start"
+                ),
+                "{spec} must be rejected"
+            );
+        }
+        assert!(build("mvto+?clock_start=1").is_ok());
+        assert!(build("mvtl-to?clock_start=1").is_ok());
     }
 }
